@@ -12,11 +12,8 @@
 //     nodes. Scale entries time the steady state only (construction runs
 //     under a stopped timer) and record construction separately as
 //     setup_ns_per_op plus bytes_per_node, the built simulation's live
-//     heap per node. Siblings: an ungated ("naive") run at 1000 nodes
-//     whose ratio to the gated run is the activity-gating speedup, and
-//     sharded ("-s4") runs at 5000+ nodes whose ratio to the serial run
-//     is the intra-run sharding speedup (or, on a single-core host, its
-//     merge overhead);
+//     heap per node. One sibling: an ungated ("naive") run at 1000 nodes
+//     whose ratio to the gated run is the activity-gating speedup;
 //   - qps: the query-path throughput frontier — concurrent in-process
 //     clients against a live serve.Manager across a (shards ×
 //     settle-window × clients) grid, recording queries/sec, p50/p99
@@ -105,8 +102,8 @@ type File struct {
 	CPUs      int    `json:"cpus"`
 	// GoMaxProcs is runtime.GOMAXPROCS(0) at measurement time, alongside
 	// CPUs (the host's runtime.NumCPU): together they make multi-core
-	// claims — e.g. the ≥2.5x s4-vs-serial sharding target — checkable
-	// from the artifact alone. Absent in files written before rev pr9.
+	// claims checkable from the artifact alone. Absent in files written
+	// before rev pr9.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
 	// MemTotalBytes is the host's physical memory (MemTotal from
 	// /proc/meminfo; 0 where unavailable). Recorded so the bytes-per-node
@@ -160,8 +157,8 @@ type Entry struct {
 	QueriesShed  int64   `json:"queries_shed,omitempty"`
 
 	// Telemetry carries informational counter totals (and histogram
-	// counts) from one extra telemetry-instrumented run of the same
-	// workload: where the work goes per benchmark, not a timing input.
+	// counts) from the last timed run of the workload: where the work
+	// goes per benchmark, not a timing input.
 	Telemetry map[string]int64 `json:"telemetry,omitempty"`
 }
 
@@ -172,9 +169,9 @@ type spec struct {
 	nodes  int   // simulated network size (workloads only)
 	epochs int64 // simulated horizon (workloads only)
 	fn     func(b *testing.B)
-	// snap, when set, produces the Entry's informational telemetry
-	// totals from one non-timed instrumented run.
-	snap func() (map[string]int64, error)
+	// tel, when set, holds the registry of the last timed run, whose
+	// totals become the Entry's informational telemetry.
+	tel *lastRegistry
 	// qps, when set, replaces fn: the spec is a query-path grid point
 	// measured by its own wall-clock harness (see qps.go), and point
 	// carries its grid coordinates into the Entry.
@@ -203,18 +200,17 @@ func scale(quick bool) (nodes int, epochs int64) {
 // horizons, the steady phase is ≥ 80% of each full-scale iteration's
 // wall time and the column actually measures epochs.
 var scalePoints = []struct {
-	nodes          int
-	epochs         int64
-	quickEpochs    int64
-	includeNaive   bool
-	includeSharded bool // add a Shards=4 sibling ("-s4")
+	nodes        int
+	epochs       int64
+	quickEpochs  int64
+	includeNaive bool
 }{
 	{nodes: 50, epochs: 20000, quickEpochs: 3000},
 	{nodes: 250, epochs: 4000, quickEpochs: 600},
 	{nodes: 1000, epochs: 1000, quickEpochs: 150, includeNaive: true},
-	{nodes: 5000, epochs: 1000, quickEpochs: 30, includeSharded: true},
-	{nodes: 25000, epochs: 500, quickEpochs: 20, includeSharded: true},
-	{nodes: 100000, epochs: 600, quickEpochs: 5, includeSharded: true},
+	{nodes: 5000, epochs: 1000, quickEpochs: 30},
+	{nodes: 25000, epochs: 500, quickEpochs: 20},
+	{nodes: 100000, epochs: 600, quickEpochs: 5},
 }
 
 // scaleScenario builds one large-N workload config: constant node density
@@ -262,16 +258,22 @@ func measureSetup(cfg scenario.Config) (nsPerOp, bytesPerNode float64, err error
 	return nsPerOp, bytesPerNode, nil
 }
 
-// telemetrySnapshot runs cfg once with a fresh registry and flattens the
-// counters (and histogram counts) into the Entry's informational map.
-func telemetrySnapshot(cfg scenario.Config) (map[string]int64, error) {
-	reg := telemetry.NewRegistry()
-	cfg.Telemetry = reg
-	if _, err := scenario.Run(cfg); err != nil {
-		return nil, err
-	}
+// lastRegistry holds the telemetry registry of a spec's most recent timed
+// run. Every run instruments itself with a fresh registry, so the one left
+// here after measuring covers exactly one run.
+type lastRegistry struct{ reg *telemetry.Registry }
+
+// fresh replaces the held registry with a new one and returns it.
+func (l *lastRegistry) fresh() *telemetry.Registry {
+	l.reg = telemetry.NewRegistry()
+	return l.reg
+}
+
+// snapshot flattens the held registry's counters (and histogram counts)
+// into the Entry's informational map.
+func (l *lastRegistry) snapshot() map[string]int64 {
 	out := map[string]int64{}
-	for _, s := range reg.Snapshot() {
+	for _, s := range l.reg.Snapshot() {
 		key := s.Name
 		if len(s.Labels) > 0 {
 			keys := make([]string, 0, len(s.Labels))
@@ -292,7 +294,7 @@ func telemetrySnapshot(cfg scenario.Config) (map[string]int64, error) {
 			out[key] = int64(s.Value)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // specs assembles the benchmark set. Workload and scale benches run with
@@ -303,12 +305,11 @@ func specs(quick bool) []spec {
 	expOpts := experiments.Options{Seed: 1, NumNodes: nodes, Epochs: epochs, Workers: 1,
 		Telemetry: telemetry.NewRegistry()}
 
-	runScenario := func(b *testing.B, mode scenario.ThresholdMode, flood bool) {
-		reg := telemetry.NewRegistry()
+	runScenario := func(b *testing.B, mode scenario.ThresholdMode, flood bool, tel *lastRegistry) {
 		for i := 0; i < b.N; i++ {
 			cfg := scenarioCfg(quick, mode)
 			cfg.DisseminateByFlooding = flood
-			cfg.Telemetry = reg
+			cfg.Telemetry = tel.fresh()
 			if _, err := scenario.Run(cfg); err != nil {
 				b.Fatal(err)
 			}
@@ -320,13 +321,12 @@ func specs(quick bool) []spec {
 	// recorded epochs/sec is the per-epoch engine's and a large-N point is
 	// not flattered or damned by its one-off build. Setup cost is measured
 	// separately (measureSetup) and recorded in its own columns.
-	runScale := func(b *testing.B, cfg scenario.Config) {
-		reg := telemetry.NewRegistry()
-		cfg.Telemetry = reg
+	runScale := func(b *testing.B, cfg scenario.Config, tel *lastRegistry) {
 		engine := sim.NewEngine()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
+			cfg.Telemetry = tel.fresh()
 			r, err := scenario.BuildWithEngine(cfg, engine)
 			if err != nil {
 				b.Fatal(err)
@@ -347,65 +347,44 @@ func specs(quick bool) []spec {
 			ep = sp.quickEpochs
 		}
 		cfg := scaleScenario(sp.nodes, ep, false)
+		tel := &lastRegistry{}
 		scaleSpecs = append(scaleSpecs, spec{
 			// At full scale the 50-node point equals headline/fixed; it is
 			// measured again deliberately so the scale column is a single
 			// self-contained family (and at -quick the two differ).
 			name: fmt.Sprintf("scale/fixed-%d", sp.nodes), group: "scale",
 			nodes: sp.nodes, epochs: ep,
-			fn:    func(b *testing.B) { runScale(b, cfg) },
-			snap:  func() (map[string]int64, error) { return telemetrySnapshot(cfg) },
+			fn:    func(b *testing.B) { runScale(b, cfg, tel) },
+			tel:   tel,
 			setup: func() (float64, float64, error) { return measureSetup(cfg) },
 		})
 		if sp.includeNaive {
 			ncfg := scaleScenario(sp.nodes, ep, true)
+			ntel := &lastRegistry{}
 			scaleSpecs = append(scaleSpecs, spec{
 				// The ungated build at the same scale: the ratio to its
 				// gated sibling is the activity-gating speedup the
 				// acceptance gate tracks.
 				name: fmt.Sprintf("scale/naive-%d", sp.nodes), group: "scale",
 				nodes: sp.nodes, epochs: ep,
-				fn:    func(b *testing.B) { runScale(b, ncfg) },
-				snap:  func() (map[string]int64, error) { return telemetrySnapshot(ncfg) },
+				fn:    func(b *testing.B) { runScale(b, ncfg, ntel) },
+				tel:   ntel,
 				setup: func() (float64, float64, error) { return measureSetup(ncfg) },
 			})
 		}
-		if sp.includeSharded {
-			scfg := scaleScenario(sp.nodes, ep, false)
-			scfg.Shards = 4
-			scaleSpecs = append(scaleSpecs, spec{
-				// The 4-shard engine at the same scale: byte-identical
-				// output, so the ratio to its serial sibling is purely the
-				// intra-run sharding speedup (multi-core) or merge overhead
-				// (single-core). PERFORMANCE.md "Sharding" documents how to
-				// read these entries.
-				name: fmt.Sprintf("scale/fixed-%d-s4", sp.nodes), group: "scale",
-				nodes: sp.nodes, epochs: ep,
-				fn:    func(b *testing.B) { runScale(b, scfg) },
-				snap:  func() (map[string]int64, error) { return telemetrySnapshot(scfg) },
-				setup: func() (float64, float64, error) { return measureSetup(scfg) },
-			})
-		}
 	}
 
-	headlineSnap := func(mode scenario.ThresholdMode, flood bool) func() (map[string]int64, error) {
-		return func() (map[string]int64, error) {
-			cfg := scenarioCfg(quick, mode)
-			cfg.DisseminateByFlooding = flood
-			return telemetrySnapshot(cfg)
-		}
+	headline := func(name string, mode scenario.ThresholdMode, flood bool) spec {
+		tel := &lastRegistry{}
+		return spec{name: name, group: "workload", nodes: nodes, epochs: epochs,
+			fn:  func(b *testing.B) { runScenario(b, mode, flood, tel) },
+			tel: tel}
 	}
 
 	all := append([]spec{
-		{name: "headline/fixed", group: "workload", nodes: nodes, epochs: epochs,
-			fn:   func(b *testing.B) { runScenario(b, scenario.FixedDelta, false) },
-			snap: headlineSnap(scenario.FixedDelta, false)},
-		{name: "headline/atc", group: "workload", nodes: nodes, epochs: epochs,
-			fn:   func(b *testing.B) { runScenario(b, scenario.ATC, false) },
-			snap: headlineSnap(scenario.ATC, false)},
-		{name: "headline/flood", group: "workload", nodes: nodes, epochs: epochs,
-			fn:   func(b *testing.B) { runScenario(b, scenario.FixedDelta, true) },
-			snap: headlineSnap(scenario.FixedDelta, true)},
+		headline("headline/fixed", scenario.FixedDelta, false),
+		headline("headline/atc", scenario.ATC, false),
+		headline("headline/flood", scenario.FixedDelta, true),
 		{name: "experiments/fig6", group: "workload", nodes: nodes, epochs: epochs,
 			fn: func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -689,12 +668,8 @@ func measureAll(all []spec, iters int) []Entry {
 			}
 		}
 		fmt.Fprintln(os.Stderr, line)
-		if s.snap != nil {
-			if t, err := s.snap(); err != nil {
-				fmt.Fprintf(os.Stderr, "telemetry snapshot for %s failed: %v\n", s.name, err)
-			} else {
-				e.Telemetry = t
-			}
+		if s.tel != nil {
+			e.Telemetry = s.tel.snapshot()
 		}
 		out = append(out, e)
 	}

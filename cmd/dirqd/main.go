@@ -159,7 +159,7 @@ func main() {
 	}
 
 	handler := serve.NewHandler(mgr, serve.ServerInfo{Version: version, Now: time.Now})
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := serve.NewServer(*addr, handler)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("%s: %d shard(s) of %d nodes (mode %s), serving on %s (metrics at /metrics)",

@@ -2,8 +2,7 @@
 // random configs and scripted event timelines checked against the
 // repository's differential oracles (run-twice determinism, gated-vs-naive
 // equivalence, monolithic-vs-stepped driving, serve live-vs-Replay,
-// experiment worker-count invariance, sharded-vs-serial epoch-engine
-// equivalence — see internal/diffuzz).
+// experiment worker-count invariance — see internal/diffuzz).
 //
 // Usage:
 //

@@ -56,15 +56,6 @@ type Config struct {
 	// capabilities. The gated loop is proven equivalent, so this exists
 	// only as the "naive" reference for tests and scale benchmarks.
 	DisableGating bool
-	// Workers and Shards enable the intra-epoch sharded engine: the tree
-	// is partitioned into Shards subtree groups and each epoch's sweep and
-	// apply phases fan out across Workers, merging deterministically at
-	// the epoch boundary. Requires Workers non-nil and Shards > 1; modes
-	// whose per-node work shares serial state (DisableGating, a Sampler,
-	// a Trace sink) fall back to the serial loop, which is trivially
-	// byte-identical.
-	Workers *sim.Workers
-	Shards  int
 	// Telemetry optionally instruments the protocol. The zero value
 	// disables all counters (every instrument is nil-safe); nothing here
 	// reads back into protocol decisions.
@@ -84,12 +75,6 @@ type Telemetry struct {
 	TuplesSent *telemetry.Counter
 	// Retunes counts controllers that accepted a RetuneAll change.
 	Retunes *telemetry.Counter
-	// ShardActive counts worklist nodes applied per shard (index = shard).
-	// Nil or shorter-than-Shards slices disable the per-shard counts.
-	ShardActive []*telemetry.Counter
-	// ShardImbalance observes, per sharded epoch, the spread (max − min)
-	// of per-shard worklist sizes — the load-balance quality signal.
-	ShardImbalance *telemetry.Histogram
 }
 
 // DefaultConfig returns the paper-default parameters: 100 epochs per hour,
@@ -144,16 +129,6 @@ type Protocol struct {
 
 	// hot is the flat per-node state driving the activity-gated epoch loop.
 	hot hotState
-
-	// Sharded-engine state (see sharded.go). sharded is true when this
-	// run's config both requests and supports the parallel epoch loop.
-	sharded    bool
-	shardOf    []int32         // node -> owning shard (subtree partition)
-	shardPools []updateMsgPool // per-shard Update Message pools
-	sweepFrom  []int           // per-range sweep bounds (contiguous IDs)
-	sweepTo    []int
-	sweepDst   [][]int32 // per-range worklist buffers
-	shardLoad  []int64   // per-epoch per-shard active counts (scratch)
 }
 
 // New wires a Protocol over an existing engine, MAC, tree and dataset.
@@ -234,30 +209,6 @@ func New(engine *sim.Engine, mac *lmac.MAC, channel *radio.Channel,
 			p.hot.parkNode(i)
 			p.gen.MarkWindowDirty(topology.NodeID(i))
 		}
-	}
-	// Sharded-engine wiring: subtree partition, per-shard message pools,
-	// contiguous sweep ranges and the MAC's staged dirty-merge buffers.
-	// Modes whose per-node work shares serial state keep the serial loop
-	// (see Config.Workers); their outputs are the reference either way.
-	p.sharded = cfg.Shards > 1 && cfg.Workers != nil &&
-		!cfg.DisableGating && cfg.Sampler == nil && cfg.Trace == nil
-	if p.sharded {
-		k := cfg.Shards
-		n := len(p.nodes)
-		p.shardOf = topology.PartitionSubtrees(tree, n, k)
-		p.shardPools = make([]updateMsgPool, k)
-		for i := range p.nodes {
-			p.nodes[i].msgPool = &p.shardPools[p.shardOf[i]]
-		}
-		p.sweepFrom = make([]int, k)
-		p.sweepTo = make([]int, k)
-		p.sweepDst = make([][]int32, k)
-		for r := 0; r < k; r++ {
-			p.sweepFrom[r] = r * n / k
-			p.sweepTo[r] = (r + 1) * n / k
-		}
-		p.shardLoad = make([]int64, k)
-		mac.ConfigureSharding(p.shardOf, k)
 	}
 	// MAC wiring: deliveries and cross-layer notifications.
 	for i := range p.nodes {
@@ -347,11 +298,6 @@ func (p *Protocol) RunEpoch() {
 		}
 		return
 	}
-	if p.sharded {
-		p.runEpochSharded(now)
-		return
-	}
-
 	// Build the worklist, node-major ascending so processing order — and
 	// with it trace order and each node's MAC queue content — matches the
 	// classic full sweep exactly.
@@ -557,11 +503,7 @@ func (p *Protocol) JoinNode(id topology.NodeID, mounted sensordata.TypeSet) erro
 	p.mounted[id] = mounted
 	p.nodes[id] = NewNode(id, mounted, p.cfg.Controllers(id), p.mac, p)
 	p.nodes[id].SetTrace(p.cfg.Trace)
-	if p.sharded {
-		p.nodes[id].msgPool = &p.shardPools[p.shardOf[id]]
-	} else {
-		p.nodes[id].msgPool = &p.updPool
-	}
+	p.nodes[id].msgPool = &p.updPool
 	p.mac.Listen(id, p.nodes[id].HandleMessage)
 	p.mac.Join(id)
 	delete(p.deadSeen, id)

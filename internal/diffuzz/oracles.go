@@ -39,15 +39,11 @@ const (
 	// OracleWorkers runs one experiment sweep with 1 and with N workers
 	// and requires identical tables.
 	OracleWorkers = "workers"
-	// OracleSharded runs the scripted case serially and with shard counts
-	// 2, 4, and 7 and requires byte-identical output from the intra-run
-	// sharded epoch engine.
-	OracleSharded = "sharded-vs-serial"
 )
 
 // AllOracles lists every oracle in canonical execution order.
 func AllOracles() []string {
-	return []string{OracleDeterminism, OracleGating, OracleStepping, OracleServe, OracleWorkers, OracleSharded}
+	return []string{OracleDeterminism, OracleGating, OracleStepping, OracleServe, OracleWorkers}
 }
 
 // Divergence is an oracle failure: two executions that the repository's
@@ -81,8 +77,6 @@ func RunOracle(name string, c Case, perturb func(*scenario.Runner)) error {
 		return oracleServe(c)
 	case OracleWorkers:
 		return oracleWorkers(c)
-	case OracleSharded:
-		return oracleSharded(c)
 	default:
 		return fmt.Errorf("diffuzz: unknown oracle %q (known: %v)", name, AllOracles())
 	}
@@ -111,31 +105,6 @@ func runScripted(c Case, naive bool, perturb func(*scenario.Runner)) ([]byte, *s
 	res := r.Run()
 	res.Config.DisableActivityGating = false
 	res.Config.Script = nil
-	bundle := &script.Result{Result: res, Report: p.Report()}
-	enc, err := encode(bundle)
-	return enc, bundle, err
-}
-
-// runScriptedShards executes the case's scripted run with the given shard
-// count (0: serial) and returns the encoded Result+Report bundle, with
-// the Shards knob normalized out of the encoding so serial and sharded
-// runs compare equal when (and only when) everything else matches.
-func runScriptedShards(c Case, shards int) ([]byte, *script.Result, error) {
-	p, err := script.NewPlayer(c.Script)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := c.Cfg
-	cfg.DisableWorkload = true
-	cfg.Script = p
-	cfg.Shards = shards
-	r, err := scenario.Build(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := r.Run()
-	res.Config.Script = nil
-	res.Config.Shards = 0
 	bundle := &script.Result{Result: res, Report: p.Report()}
 	enc, err := encode(bundle)
 	return enc, bundle, err
@@ -453,29 +422,6 @@ func randRequest(rng *sim.RNG) serve.Request {
 	min, max := typ.Span()
 	lo := rng.Range(min, max)
 	return serve.Request{Type: typ, Lo: lo, Hi: lo + rng.Range(0, max-lo)}
-}
-
-// oracleSharded: the intra-run sharded epoch engine must reproduce the
-// serial engine bit for bit at every shard count. Cases that fall back to
-// serial (predictive sampling, gating disabled) still run — they prove
-// the fallback changes nothing.
-func oracleSharded(c Case) error {
-	serial, rs, err := runScriptedShards(c, 0)
-	if err != nil {
-		return err
-	}
-	for _, k := range []int{2, 4, 7} {
-		sharded, rk, err := runScriptedShards(c, k)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(serial, sharded) {
-			return &Divergence{Oracle: OracleSharded, Seed: c.Seed,
-				Detail: diffDetail(serial, sharded, "serial", fmt.Sprintf("shards=%d", k),
-					summarize(rs), summarize(rk))}
-		}
-	}
-	return nil
 }
 
 // workerIDs are the experiment sweeps the workers oracle samples: cheap

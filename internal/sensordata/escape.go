@@ -7,8 +7,8 @@ import (
 	"repro/internal/topology"
 )
 
-// This file implements the escape-time calendar that makes ActiveSweep and
-// ActiveSweepRange O(active + due) per epoch instead of O(N·types).
+// This file implements the escape-time calendar that makes ActiveSweep
+// O(active + due) per epoch instead of O(N·types).
 //
 // The idea: every refutation already computes a conservative bracket
 // [vlo, vhi] around a node's possible reading and a margin to its window.
@@ -224,8 +224,7 @@ func (g *Generator) escMarkDue(i int, bits uint8, epoch int64) {
 // routed into calendar buckets (or kept due) per the thresholds the exams
 // recorded, dirtied nodes are forced due, and every bucket whose deadline
 // the motion accumulator has passed is drained. Runs once per epoch — the
-// first sweep (or PrepareConcurrentReads) triggers it; concurrent
-// ActiveSweepRange callers only read.
+// first sweep triggers it; later sweeps of the epoch only read.
 func (g *Generator) escDrain() {
 	if g.escEpoch == g.epoch {
 		return

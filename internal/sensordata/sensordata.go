@@ -3,8 +3,6 @@ package sensordata
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync/atomic"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -190,11 +188,7 @@ type Generator struct {
 	stamp     []int64   // epoch values[i][t] was evaluated at
 	snapPlume []float64 // plume-sum component recorded at that evaluation
 	snapCum   []float64 // cumBound at that evaluation; -Inf = no usable snapshot
-	evals     uint64    // total per-(node, type) field evaluations (atomic)
-
-	// workers, when set, parallelizes Step across the (RNG-independent)
-	// per-type field streams. Nil means serial.
-	workers *sim.Workers
+	evals     uint64    // total per-(node, type) field evaluations
 
 	// Escape-calendar state (see escape.go). nextT[t*N+i] is the escA
 	// threshold at which (node i, type t) must be re-examined: NaN = due
@@ -235,12 +229,6 @@ type Telemetry struct {
 // SetTelemetry binds (or, with the zero value, unbinds) the generator's
 // instruments.
 func (g *Generator) SetTelemetry(t Telemetry) { g.tel = t }
-
-// SetWorkers binds a fork-join pool used to advance the per-type field
-// streams concurrently in Step. Each type owns an independent seed-derived
-// RNG stream, so type-parallel stepping consumes exactly the draws the
-// serial order does — byte-for-byte identical state. Nil reverts to serial.
-func (g *Generator) SetWorkers(w *sim.Workers) { g.workers = w }
 
 // NewGenerator builds a generator for the given node positions. The area
 // bounds are inferred from the positions. The rng should be a dedicated
@@ -406,7 +394,7 @@ func (g *Generator) Values(t Type) []float64 {
 // Evals returns the total number of per-(node, type) field evaluations
 // performed so far — the work quiescence gating exists to avoid. Tests use
 // it to prove that quiet windows cost nothing.
-func (g *Generator) Evals() uint64 { return atomic.LoadUint64(&g.evals) }
+func (g *Generator) Evals() uint64 { return g.evals }
 
 // maxPlumeSlope is the magnitude of a unit-amplitude Gaussian's steepest
 // slope, attained one sigma from the centre: exp(-1/2)/sigma.
@@ -420,63 +408,51 @@ const maxPlumeSlope = 0.6065306597126334
 // evaluating the field.
 func (g *Generator) Step() {
 	g.epoch++
-	if g.workers.Count() > 1 {
-		// Each type's state evolves from its own RNG stream and touches
-		// only its own field, so type-parallel stepping is exact.
-		g.workers.Run(int(NumTypes), func(t int) { g.stepType(Type(t)) })
-		return
-	}
 	for _, t := range AllTypes() {
-		g.stepType(t)
-	}
-}
-
-// stepType advances one type's field state by one epoch — the body of
-// Step, factored out so the per-type streams can run concurrently.
-func (g *Generator) stepType(t Type) {
-	f := g.fields[t]
-	p := f.params
-	motion := 0.0
-	for i := range f.plumes {
-		pl := &f.plumes[i]
-		ox, oy := pl.x, pl.y
-		pl.x += f.rng.NormFloat64() * p.DriftStep
-		pl.y += f.rng.NormFloat64() * p.DriftStep
-		// Reflect at the area boundary so plumes stay in play.
-		pl.x = reflect(pl.x, f.width)
-		pl.y = reflect(pl.y, f.height)
-		// Conservative bound on this plume's contribution change at any
-		// position: displacement times the Gaussian's steepest slope,
-		// capped at the full amplitude. Reflection is a contraction, so
-		// the realized displacement is what matters.
-		amp := math.Abs(pl.amp)
-		b := amp
-		if pl.sigma > 0 {
-			dx, dy := pl.x-ox, pl.y-oy
-			if s := math.Sqrt(dx*dx+dy*dy) * maxPlumeSlope / pl.sigma * amp; s < b {
-				b = s
+		f := g.fields[t]
+		p := f.params
+		motion := 0.0
+		for i := range f.plumes {
+			pl := &f.plumes[i]
+			ox, oy := pl.x, pl.y
+			pl.x += f.rng.NormFloat64() * p.DriftStep
+			pl.y += f.rng.NormFloat64() * p.DriftStep
+			// Reflect at the area boundary so plumes stay in play.
+			pl.x = reflect(pl.x, f.width)
+			pl.y = reflect(pl.y, f.height)
+			// Conservative bound on this plume's contribution change at any
+			// position: displacement times the Gaussian's steepest slope,
+			// capped at the full amplitude. Reflection is a contraction, so
+			// the realized displacement is what matters.
+			amp := math.Abs(pl.amp)
+			b := amp
+			if pl.sigma > 0 {
+				dx, dy := pl.x-ox, pl.y-oy
+				if s := math.Sqrt(dx*dx+dy*dy) * maxPlumeSlope / pl.sigma * amp; s < b {
+					b = s
+				}
+			}
+			motion += b
+		}
+		maxNoiseDelta := 0.0
+		for i := range f.noise {
+			old := f.noise[i]
+			nv := p.NoisePhi*old + f.rng.NormFloat64()*p.NoiseSigma
+			f.noise[i] = nv
+			if d := math.Abs(nv - old); d > maxNoiseDelta {
+				maxNoiseDelta = d
 			}
 		}
-		motion += b
+		f.cumBound += motion
+		// Grow the escape accumulator by this epoch's total motion budget and
+		// eagerly seed the diurnal cache (same deterministic value the lazy
+		// fill would compute).
+		nd := f.dayAt(g.epoch)
+		f.escA += motion + maxNoiseDelta + math.Abs(nd-f.lastDay)
+		f.lastDay = nd
+		f.dayEpoch = g.epoch
+		f.dayVal = nd
 	}
-	maxNoiseDelta := 0.0
-	for i := range f.noise {
-		old := f.noise[i]
-		nv := p.NoisePhi*old + f.rng.NormFloat64()*p.NoiseSigma
-		f.noise[i] = nv
-		if d := math.Abs(nv - old); d > maxNoiseDelta {
-			maxNoiseDelta = d
-		}
-	}
-	f.cumBound += motion
-	// Grow the escape accumulator by this epoch's total motion budget and
-	// eagerly seed the diurnal cache (same deterministic value the lazy
-	// fill would compute).
-	nd := f.dayAt(g.epoch)
-	f.escA += motion + maxNoiseDelta + math.Abs(nd-f.lastDay)
-	f.lastDay = nd
-	f.dayEpoch = g.epoch
-	f.dayVal = nd
 }
 
 // reflect folds v back into [0, limit].
@@ -517,7 +493,7 @@ func (g *Generator) eval(i int, t Type) {
 	}
 	g.values[i][t] = v
 	g.stamp[k] = g.epoch
-	atomic.AddUint64(&g.evals, 1)
+	g.evals++
 	g.tel.Evals.Inc()
 }
 
@@ -606,101 +582,6 @@ func (g *Generator) ActiveSweep(t Type, lo, hi []float64, dst []int32) []int32 {
 	hits := len(dst) - start
 	g.tel.SweepHits.Add(int64(hits))
 	g.tel.SweepRefutes.Add(int64(examined - hits))
-	return dst
-}
-
-// PrepareConcurrentReads warms every mutable read-path cache (today just
-// the per-type diurnal term) so that Value, eval and ActiveSweepRange can
-// run concurrently for the current epoch without racing on cache fills.
-// Call it once per epoch, after Step, before fanning readers out.
-func (g *Generator) PrepareConcurrentReads() {
-	for _, t := range AllTypes() {
-		g.fields[t].day(g.epoch)
-	}
-	// Resolve this epoch's due set serially so concurrent
-	// ActiveSweepRange callers only read the calendar.
-	g.escDrain()
-}
-
-// ActiveSweepRange is the shard-parallel form of ActiveSweep: it applies
-// the identical per-(node, type) quiescence proof to nodes in [from, to)
-// across ALL types at once, writing the per-node active-type bitmask into
-// mask[i] and appending each active node's ID to dst (ascending, since
-// the walk is in ID order). The float expressions are evaluated in the
-// exact order ActiveSweep uses, so the swept-out set — and therefore the
-// downstream protocol behaviour — is bit-identical to four serial
-// per-type sweeps over the same windows.
-//
-// mask entries for quiet nodes are left untouched (the serial path only
-// defines mask for active nodes too). Requires PrepareConcurrentReads for
-// the current epoch when ranges run concurrently — it also resolves the
-// epoch's escape-calendar due set, which concurrent ranges only read.
-// Telemetry totals match the serial sweep: per-type hits and
-// examined-but-quiet refutes over this range are added to the (atomic)
-// counters. The window-stability contract documented on ActiveSweep
-// applies here too.
-func (g *Generator) ActiveSweepRange(lo, hi *[NumTypes][]float64, mask []uint8, from, to int, dst []int32) []int32 {
-	g.escDrain()
-	n := len(g.positions)
-	var base, cum, spanLo, spanHi, A [NumTypes]float64
-	var noise, bias, snapP, snapC [NumTypes][]float64
-	for _, t := range AllTypes() {
-		f := g.fields[t]
-		base[t] = f.params.Base + f.day(g.epoch)
-		cum[t] = f.cumBound + 1e-9
-		spanLo[t], spanHi[t] = t.Span()
-		noise[t], bias[t] = f.noise, f.bias
-		snapP[t] = g.snapPlume[int(t)*n : int(t)*n+n]
-		snapC[t] = g.snapCum[int(t)*n : int(t)*n+n]
-		A[t] = f.escA
-	}
-	var hits, examined [NumTypes]int64
-	due := g.dueNodes
-	p := sort.Search(len(due), func(k int) bool { return int(due[k]) >= from })
-	for ; p < len(due) && int(due[p]) < to; p++ {
-		i := int(due[p])
-		dm := g.dueMask[i]
-		var m uint8
-		for _, t := range AllTypes() {
-			bit := uint8(1) << uint(t)
-			if dm&bit == 0 {
-				continue
-			}
-			examined[t]++
-			dev := cum[t] - snapC[t][i]
-			c := base[t] + noise[t][i] + bias[t][i] + snapP[t][i]
-			vlo, vhi := c-dev, c+dev
-			if vlo < spanLo[t] {
-				vlo = spanLo[t]
-			}
-			if vhi > spanHi[t] {
-				vhi = spanHi[t]
-			}
-			if vlo < lo[t][i] || vhi > hi[t][i] {
-				m |= bit
-				hits[t]++
-				g.nextT[int(t)*n+i] = A[t]
-			} else {
-				mg := vlo - lo[t][i]
-				if d := hi[t][i] - vhi; d < mg {
-					mg = d
-				}
-				T := A[t] + mg - escSafetyMargins[t]
-				if !(T > A[t]) {
-					T = A[t]
-				}
-				g.nextT[int(t)*n+i] = T
-			}
-		}
-		if m != 0 {
-			mask[i] = m
-			dst = append(dst, int32(i))
-		}
-	}
-	for _, t := range AllTypes() {
-		g.tel.SweepHits.Add(hits[t])
-		g.tel.SweepRefutes.Add(examined[t] - hits[t])
-	}
 	return dst
 }
 

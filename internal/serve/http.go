@@ -98,6 +98,26 @@ const defaultQueryTimeout = 30 * time.Second
 // second is a conservative "the queue will have drained" hint.
 const overloadedRetryAfter = "1"
 
+// maxQueryBody caps a POST /query body. A query is a few dozen bytes; a
+// body past the cap is answered 413 instead of being read to its end.
+const maxQueryBody = 64 << 10
+
+// Connection timeouts of the server NewServer builds. readHeaderTimeout
+// cuts off a client that trickles its request headers; idleTimeout closes
+// keep-alive connections left idle between requests. Neither bounds the
+// wait for a query's answer, which its timeout_ms governs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewServer returns the http.Server that serves h on addr with the
+// connection timeouts above.
+func NewServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // NewHandler exposes a Manager over HTTP:
 //
 //	POST /query         admit one range query, wait for its answer
@@ -107,7 +127,9 @@ const overloadedRetryAfter = "1"
 //	GET  /metrics       telemetry registry, Prometheus text format
 //	GET  /metrics.json  telemetry registry, JSON with p50/p90/p99
 //
-// The optional ServerInfo stamps /stats with a build version and uptime.
+// A /query body may hold only QueryRequestWire's fields and at most
+// maxQueryBody bytes (413 past it). The optional ServerInfo stamps /stats
+// with a build version and uptime.
 func NewHandler(m *Manager, info ...ServerInfo) http.Handler {
 	var si ServerInfo
 	haveInfo := len(info) > 0
@@ -120,9 +142,16 @@ func NewHandler(m *Manager, info ...ServerInfo) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody))
+		dec.DisallowUnknownFields()
 		var wire QueryRequestWire
-		if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+		if err := dec.Decode(&wire); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, code, fmt.Errorf("bad JSON body: %w", err))
 			return
 		}
 		req, timeout, err := wire.toRequest()

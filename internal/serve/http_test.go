@@ -2,6 +2,9 @@ package serve
 
 import (
 	"context"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -109,5 +112,81 @@ func TestHTTPErrors(t *testing.T) {
 	if _, err := c.Query(ctx, QueryRequestWire{Shard: "nope", Type: "temperature"}); err == nil ||
 		!strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown shard: %v", err)
+	}
+}
+
+// TestHTTPQueryBodyLimits: POST /query answers 413 to a body past
+// maxQueryBody and 400 to a field the wire format does not define, before
+// any query is admitted.
+func TestHTTPQueryBodyLimits(t *testing.T) {
+	m := startManager(t, testShardConfig("s0", 1))
+	srv := httptest.NewServer(NewHandler(m))
+	t.Cleanup(srv.Close)
+
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(msg)
+	}
+
+	oversized := `{"type":"temperature","shard":"` + strings.Repeat("x", maxQueryBody) + `"}`
+	if code, msg := post(oversized); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d (%s), want 413", code, msg)
+	}
+	if code, msg := post(`{"type":"temperature","bogus":1}`); code != http.StatusBadRequest ||
+		!strings.Contains(msg, "unknown field") {
+		t.Errorf("unknown field: status %d (%s), want 400 naming the field", code, msg)
+	}
+	for _, st := range m.Stats() {
+		if st.QueriesServed != 0 {
+			t.Errorf("shard %s served %d queries from rejected bodies", st.ID, st.QueriesServed)
+		}
+	}
+	if code, msg := post(`{"type":"temperature"}`); code != http.StatusOK {
+		t.Errorf("well-formed query after rejections: status %d (%s)", code, msg)
+	}
+}
+
+// TestServerCutsOffSlowHeaders: a client that starts a request and never
+// finishes its headers is disconnected once ReadHeaderTimeout passes,
+// instead of holding the connection open.
+func TestServerCutsOffSlowHeaders(t *testing.T) {
+	srv := NewServer("", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("NewServer timeouts: read-header %v, idle %v; want both set",
+			srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond // keep the test fast
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		srv.Close()
+		<-served
+	})
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: dirqd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	start := time.Now()
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open after %v: %v", time.Since(start), err)
 	}
 }

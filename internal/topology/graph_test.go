@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -316,5 +317,35 @@ func TestRectUnionAndAround(t *testing.T) {
 	}
 	if u.String() == "" {
 		t.Fatal("empty String")
+	}
+}
+
+// TestConnectUnitDiskMatchesBruteForce pins the grid-bucket
+// implementation to the all-pairs definition across random layouts.
+func TestConnectUnitDiskMatchesBruteForce(t *testing.T) {
+	for _, seed := range []uint64{3, 17, 2026} {
+		rng := sim.NewRNG(seed)
+		const n = 300
+		pos := make([]Position, n)
+		for i := range pos {
+			pos[i] = Position{X: rng.Range(0, 150), Y: rng.Range(0, 150)}
+		}
+		for _, r := range []float64{5, 22, 80} {
+			fast := NewGraph(pos)
+			fast.ConnectUnitDisk(r)
+			slow := NewGraph(pos)
+			for a := 0; a < n; a++ {
+				for b := a + 1; b < n; b++ {
+					if slow.pos[a].Dist(slow.pos[b]) <= r {
+						if err := slow.AddEdge(NodeID(a), NodeID(b)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			if !reflect.DeepEqual(fast.adj, slow.adj) {
+				t.Fatalf("seed %d r=%v: grid-bucket adjacency differs from brute force", seed, r)
+			}
+		}
 	}
 }
